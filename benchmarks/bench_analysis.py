@@ -9,7 +9,7 @@ mirroring ``bench_noc_sim.py`` for the simulator:
   per-map fresh-``spsolve`` solves vs one cached LU factorization shared
   by the whole :meth:`PdnSolver.solve_many` batch (floor: >=5x);
 * **connectivity** — a 32x32 Fig. 6 Monte-Carlo sweep: the per-fault
-  broadcast loop vs the tile/repeat vectorized kernel (floor: >=5x);
+  broadcast loop vs the factorized sparse kernel (floor: >=5x);
 * **emulation** — BFS on a faulty 16x16 wafer, repeated across fresh
   systems: per-flow ``kernel.assign`` vs the fault-map-keyed route cache
   (floor: >=2x).

@@ -15,12 +15,13 @@ network loses >12% of pairs while the dual network loses <2%.
 Two computation kernels produce the exact same fractions, selected by
 the library-wide ``engine`` keyword (see :mod:`repro.fastpath`):
 
-* ``engine="fast"`` (default) — per wafer geometry, the coordinate
-  grids, the pair-segment gather indices and the same-row/column mask
-  are precomputed once (:func:`_coord_grid`); per fault map, segment
-  fault counts come from two cumulative-sum tables so the full ordered
-  pair matrix is a handful of whole-array operations with **no loop
-  over faults**.
+* ``engine="fast"`` (default) — a factorized sparse contraction
+  (:func:`_pair_blockage_sparse`).  Per fault map, two cumulative-sum
+  tables give every row- and column-segment blockage; the blocked-pair
+  *counts* then factor into products of small per-row marginals plus
+  corrections that contract over the faulty rows only, so the
+  million-entry ordered-pair matrix is never built and there is **no
+  loop over faults**.
 * ``engine="reference"`` — the retained per-fault broadcast loop, the
   golden model the differential tests compare against bit for bit.
 
@@ -100,14 +101,10 @@ def _coord_grid(rows: int, cols: int) -> dict:
     The X-Y L of ``(r1,c1)->(r2,c2)`` is blocked iff some fault sits in
     row ``r1`` with column in ``[min(c1,c2), max(c1,c2)]`` or in column
     ``c2`` with row in ``[min(r1,r2), max(r1,r2)]``.  Both conditions
-    live in tiny per-map tables — ``(rows, cols, cols)`` for row
-    segments, ``(rows, rows, cols)`` for column segments — and expand to
-    the full ordered-pair matrix by pure ``tile``/``repeat`` layout
-    tricks, so the per-map work never loops over faults and never
-    gathers with million-entry index arrays.  Cached here: the min/max
-    segment-endpoint grids the tables are built from, the destination
-    coordinate vectors, and the same-row-or-column pair mask used by
-    :func:`same_row_col_share`.
+    live in tiny per-map tables (:func:`_segment_tables`).  Cached here:
+    the min/max segment-endpoint grids the tables are built from, the
+    destination coordinate vectors and the same-row-or-column pair mask
+    that :func:`_blockage_matrix` and :func:`same_row_col_share` use.
     """
     col_a = np.arange(cols)[:, None]
     col_b = np.arange(cols)[None, :]
@@ -126,6 +123,24 @@ def _coord_grid(rows: int, cols: int) -> dict:
     }
 
 
+def _segment_tables(fault_arr: np.ndarray, grid: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Per-map row- and column-segment blockage tables.
+
+    ``R[r, a, b]``: some fault in row ``r``, columns ``[min(a,b), max(a,b)]``
+    — shape ``(rows, cols, cols)``.  ``C[a, b, c]``: some fault in column
+    ``c``, rows ``[min(a,b), max(a,b)]`` — shape ``(rows, rows, cols)``.
+    Both come from two cumulative-sum tables, with no loop over faults.
+    """
+    rows, cols = fault_arr.shape
+    row_cum = np.zeros((rows, cols + 1), dtype=np.int16)
+    np.cumsum(fault_arr, axis=1, dtype=np.int16, out=row_cum[:, 1:])
+    col_cum = np.zeros((rows + 1, cols), dtype=np.int16)
+    np.cumsum(fault_arr, axis=0, dtype=np.int16, out=col_cum[1:, :])
+    R = row_cum[:, grid["cmax"] + 1] > row_cum[:, grid["cmin"]]
+    C = col_cum[grid["rmax"] + 1, :] > col_cum[grid["rmin"], :]
+    return R, C
+
+
 def _blockage_matrix(fault_map: FaultMap) -> tuple[np.ndarray, np.ndarray]:
     """Full-grid X-Y blocked-pair matrix and healthy-tile mask.
 
@@ -141,16 +156,7 @@ def _blockage_matrix(fault_map: FaultMap) -> tuple[np.ndarray, np.ndarray]:
     n = rows * cols
     grid = _coord_grid(rows, cols)
     fault_arr = fault_map.as_bool_array()
-
-    row_cum = np.zeros((rows, cols + 1), dtype=np.int16)
-    np.cumsum(fault_arr, axis=1, dtype=np.int16, out=row_cum[:, 1:])
-    col_cum = np.zeros((rows + 1, cols), dtype=np.int16)
-    np.cumsum(fault_arr, axis=0, dtype=np.int16, out=col_cum[1:, :])
-
-    # tbl_row[r, a, b]: any fault in row r, columns [min(a,b), max(a,b)].
-    # tbl_col[a, b, c]: any fault in column c, rows [min(a,b), max(a,b)].
-    tbl_row = row_cum[:, grid["cmax"] + 1] > row_cum[:, grid["cmin"]]
-    tbl_col = col_cum[grid["rmax"] + 1, :] > col_cum[grid["rmin"], :]
+    tbl_row, tbl_col = _segment_tables(fault_arr, grid)
 
     # Row-segment term: depends on (source tile, destination column), and
     # tbl_row reshaped to (n, cols) is already indexed by source flat id,
@@ -163,46 +169,14 @@ def _blockage_matrix(fault_map: FaultMap) -> tuple[np.ndarray, np.ndarray]:
     return xy_blocked, ~fault_arr.reshape(-1)
 
 
-def _pair_blockage(fault_map: FaultMap) -> PairDisconnection:
-    """Exact disconnection fractions for one fault map (vectorised).
-
-    Counts run over the full grid and subtract the analytically-known
-    contribution of faulty-endpoint pairs (``f`` faulty of ``n`` tiles
-    leave ``f * (2n - f)`` ordered pairs with a faulty endpoint, all of
-    them blocked in both directions), avoiding any per-map mask builds.
-    """
-    xy_blocked, healthy = _blockage_matrix(fault_map)
-    n = healthy.size
-    h = int(healthy.sum())
-    if h < 2:
-        raise NetworkError("need at least two healthy tiles")
-    f = n - h
-    endpoint_pairs = f * (2 * n - f)
-
-    one_way_count = int(np.count_nonzero(xy_blocked)) - endpoint_pairs
-    dual_count = (
-        int(np.count_nonzero(xy_blocked & xy_blocked.T)) - endpoint_pairs
-    )
-    # |A or B| = |A| + |B| - |A and B|, and |B| = |A| by symmetry.
-    single_count = 2 * one_way_count - dual_count
-
-    pair_count = h * (h - 1)
-    return PairDisconnection(
-        fault_count=fault_map.fault_count,
-        one_way_xy=one_way_count / pair_count,
-        single=single_count / pair_count,
-        dual=dual_count / pair_count,
-        healthy_pairs=pair_count,
-    )
-
-
 def _pair_blockage_sparse(fault_map: FaultMap) -> PairDisconnection:
     """Exact disconnection fractions via a factorized sparse contraction.
 
-    Same integer counts as :func:`_pair_blockage` — so bit-identical
-    fractions — without ever materialising the million-entry pair
-    matrices.  The blocked-pair counts are sums of products of the two
-    small segment tables ``R[a, c, e]`` (fault in row ``a``, columns
+    The blocked-pair integer counts equal those of the full ordered-pair
+    matrix (:func:`_blockage_matrix`) and of the reference loop — so the
+    fractions are bit-identical — without ever materialising the
+    million-entry pair matrices.  The counts are sums of products of the
+    two small segment tables ``R[a, c, e]`` (fault in row ``a``, columns
     ``c..e``) and ``C[a, b, e]`` (fault in column ``e``, rows ``a..b``),
     and those sums factor:
 
@@ -215,9 +189,12 @@ def _pair_blockage_sparse(fault_map: FaultMap) -> PairDisconnection:
       all ``rows`` (batched ``(k, 32, 32)`` matmuls; exact in float32
       because every entry is a 0/1 sum over at most ``cols`` terms).
 
-    At Fig. 6 fault counts (a handful of faulty rows out of 32) this is
-    ~5-8x the tiled pair-matrix kernel per map; it degrades gracefully
-    toward the dense cost as faults approach full coverage.
+    Faulty-endpoint pairs are subtracted analytically: ``f`` faulty of
+    ``n`` tiles leave ``f * (2n - f)`` ordered pairs with a faulty
+    endpoint, all of them blocked in both directions.  At Fig. 6 fault
+    counts (a handful of faulty rows out of 32) this costs a fraction
+    of building the pair matrix; the corrections grow toward that
+    cost as faults approach full coverage.
     """
     cfg = fault_map.config
     rows, cols = cfg.rows, cfg.cols
@@ -226,14 +203,7 @@ def _pair_blockage_sparse(fault_map: FaultMap) -> PairDisconnection:
     h = n - int(fault_arr.sum())
     if h < 2:
         raise NetworkError("need at least two healthy tiles")
-    grid = _coord_grid(rows, cols)
-
-    row_cum = np.zeros((rows, cols + 1), dtype=np.int16)
-    np.cumsum(fault_arr, axis=1, dtype=np.int16, out=row_cum[:, 1:])
-    col_cum = np.zeros((rows + 1, cols), dtype=np.int16)
-    np.cumsum(fault_arr, axis=0, dtype=np.int16, out=col_cum[1:, :])
-    R = row_cum[:, grid["cmax"] + 1] > row_cum[:, grid["cmin"]]
-    C = col_cum[grid["rmax"] + 1, :] > col_cum[grid["rmin"], :]
+    R, C = _segment_tables(fault_arr, _coord_grid(rows, cols))
     c_open = (~C).astype(np.float32)         # (a, b, e): column segment clear
 
     # one_way_full = n^2 - sum_{a,c,b,e} (1-R[a,c,e]) (1-C[a,b,e]).
@@ -339,7 +309,7 @@ def _pair_blockage_reference(fault_map: FaultMap) -> PairDisconnection:
     )
 
 
-_KERNELS = {"vectorized": _pair_blockage, "reference": _pair_blockage_reference}
+_KERNELS = {"vectorized": _pair_blockage_sparse, "reference": _pair_blockage_reference}
 
 
 def disconnected_fraction(
@@ -354,18 +324,14 @@ def disconnected_fractions(
     engine: str | None = None,
     method: str | None = None,
 ) -> list[PairDisconnection]:
-    """Batched exact disconnection fractions for many fault maps.
+    """Exact disconnection fractions for many fault maps.
 
-    The fast kind routes every map through the factorized sparse
-    kernel (:func:`_pair_blockage_sparse`) — bit-identical counts to
-    :func:`disconnected_fraction`'s tiled pair-matrix kernel, several
-    times faster per map at realistic fault densities, and all
-    per-geometry precompute (coordinate grids, gather indices) is
-    cached across the batch.
+    Each map goes through the same kernel as :func:`disconnected_fraction`
+    (the factorized sparse contraction for ``engine="fast"``), so results
+    are bit-identical map for map; the per-geometry precompute
+    (:func:`_coord_grid`) is computed once and shared across the list.
     """
     kernel = _kernel(engine, method, "disconnected_fractions")
-    if kernel is _pair_blockage:
-        kernel = _pair_blockage_sparse
     return [kernel(fmap) for fmap in fault_maps]
 
 
@@ -406,33 +372,6 @@ def _disconnection_trial(ctx) -> tuple[float, float]:
             f"(trial {ctx.index}, fault_count {fault_count}): {err}"
         ) from err
     return result.single * 100.0, result.dual * 100.0
-
-
-def _disconnection_batch_trial(ctx) -> list[tuple[float, float]]:
-    """One batched Fig. 6 trial: draw and measure several maps at once.
-
-    Trial ``i`` of a batched run covers maps ``i*batch .. i*batch+k-1``
-    (``k`` shrinks on the final trial so exactly ``trials_total`` maps
-    are drawn across the run).
-    """
-    fault_count = ctx.params["fault_count"]
-    batch = ctx.params["batch"]
-    total = ctx.params["trials_total"]
-    n_maps = min(batch, total - ctx.index * batch)
-    kernel = _KERNELS[ctx.params.get("method", "vectorized")]
-    out: list[tuple[float, float]] = []
-    for offset in range(n_maps):
-        fmap = random_fault_map(ctx.config, fault_count, ctx.rng)
-        try:
-            result = kernel(fmap)
-        except NetworkError as err:
-            raise NetworkError(
-                f"degenerate fault map in Fig. 6 Monte Carlo (trial "
-                f"{ctx.index}, map {offset} of the batch, fault_count "
-                f"{fault_count}): {err}"
-            ) from err
-        out.append((result.single * 100.0, result.dual * 100.0))
-    return out
 
 
 def _fig6_single_pct(value: tuple[float, float]) -> float:
@@ -492,15 +431,12 @@ def monte_carlo_disconnection(
     count for the same ``seed``) and ``cache=True`` to reuse recorded
     runs; an explicit ``engine`` overrides both.
 
-    ``batch`` > 1 evaluates that many maps per engine trial (amortising
-    per-trial dispatch for large sweeps).  ``trials`` always counts maps,
-    but batched runs consume each trial rng stream ``batch`` times, so
-    their statistics match other runs of the same ``batch`` — not the
-    per-map (``batch=1``) stream.  ``batch="chunk"`` instead dispatches
-    each worker chunk as one :func:`disconnected_fractions` call via the
-    engine's ``batch_fn`` path: per-trial values (and hence statistics,
-    seeds and the cache key) stay bit-identical to ``batch=1`` while the
-    dispatch overhead amortises across the chunk.  ``method`` selects
+    ``batch`` is ``1`` (one engine trial per map) or ``"chunk"``, which
+    dispatches each worker chunk as one :func:`disconnected_fractions`
+    call via the engine's ``batch_fn`` path: per-trial values (and hence
+    statistics, seeds and the cache key) stay bit-identical to
+    ``batch=1`` while the dispatch overhead amortises across the chunk.
+    Any other value raises :class:`NetworkError`.  ``method`` selects
     the connectivity kernel and accepts the unified engine names
     (``"fast"`` — the default ``"vectorized"`` kernel — or
     ``"reference"``, the retained loop); ``engine`` here is an
@@ -510,8 +446,7 @@ def monte_carlo_disconnection(
     ``adaptive`` takes a :class:`~repro.engine.CIStop` rule: ``trials``
     becomes a cap, and each fault count stops as soon as the bootstrap
     CI on the rule's statistic (default: the single-network disconnected
-    percentage) closes.  Adaptive runs require per-map trials
-    (``batch=1`` or ``"chunk"``), and their :class:`ConnectivityStats`
+    percentage) closes, and the returned :class:`ConnectivityStats`
     report the executed trial count.
 
     A degenerate draw (< 2 healthy tiles) raises :class:`NetworkError`
@@ -519,45 +454,30 @@ def monte_carlo_disconnection(
     """
     from ..engine import ExperimentEngine
 
-    if batch != "chunk" and (not isinstance(batch, int) or batch < 1):
-        raise NetworkError("batch must be >= 1 or 'chunk'")
+    if not (batch == "chunk" or (type(batch) is int and batch == 1)):
+        raise NetworkError(f"batch must be 1 or 'chunk', got {batch!r}")
     if method == "fast":
         method = "vectorized"
     if method not in _KERNELS:
         raise NetworkError(f"unknown connectivity method {method!r}")
-    if adaptive is not None:
-        if batch not in (1, "chunk"):
-            raise NetworkError(
-                "adaptive sampling needs per-map trials: use batch=1 or 'chunk'"
-            )
-        if adaptive.statistic is None:
-            adaptive = replace(adaptive, statistic=_fig6_single_pct)
+    if adaptive is not None and adaptive.statistic is None:
+        adaptive = replace(adaptive, statistic=_fig6_single_pct)
     eng = engine or ExperimentEngine(workers=workers, cache=cache)
+    batch_fn = _disconnection_chunk if batch == "chunk" else None
     out: list[ConnectivityStats] = []
     for count in fault_counts:
         # Default-parameter runs keep their historical engine cache
-        # identity; batched or reference-kernel runs get their own.
-        # Chunk dispatch intentionally shares the batch=1 identity: the
-        # per-trial values are bit-identical.
+        # identity; reference-kernel runs get their own.  Chunk dispatch
+        # intentionally shares the batch=1 identity: the per-trial values
+        # are bit-identical.
         params: dict = {"fault_count": count}
         if method != "vectorized":
             params["method"] = method
-        batch_fn = None
-        if batch == "chunk":
-            trial_fn, engine_trials = _disconnection_trial, trials
-            batch_fn = _disconnection_chunk
-        elif batch == 1:
-            trial_fn, engine_trials = _disconnection_trial, trials
-        else:
-            params["batch"] = batch
-            params["trials_total"] = trials
-            trial_fn = _disconnection_batch_trial
-            engine_trials = -(-trials // batch)
         try:
             run = eng.run(
-                trial_fn,
+                _disconnection_trial,
                 experiment="noc.fig6_disconnection",
-                trials=engine_trials,
+                trials=trials,
                 seed=(seed, count),
                 config=config,
                 params=params,
@@ -567,10 +487,7 @@ def monte_carlo_disconnection(
             )
         except NetworkError as err:
             raise NetworkError(f"{err} [run seed {(seed, count)!r}]") from err
-        if batch in (1, "chunk"):
-            pairs = run.values
-        else:
-            pairs = [pair for chunk in run.values for pair in chunk]
+        pairs = run.values
         singles = [single for single, _ in pairs]
         duals = [dual for _, dual in pairs]
         out.append(

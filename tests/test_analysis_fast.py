@@ -16,9 +16,9 @@ from repro.arch.system import WaferscaleSystem
 from repro.config import SystemConfig
 from repro.errors import NetworkError, PdnError, ReproError
 from repro.flow.characterize import characterize_activity_sweep
-from repro.engine import CIStop
+from repro.engine import CIStop, ResultCache
+from repro.engine.cache import cache_key
 from repro.noc.connectivity import (
-    _pair_blockage,
     _pair_blockage_reference,
     _pair_blockage_sparse,
     _same_row_col_share_reference,
@@ -30,6 +30,7 @@ from repro.noc.connectivity import (
 from repro.noc.faults import FaultMap, random_fault_map
 from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.pdn.solver import PdnSolution, PdnSolver
+from repro.verify.golden import golden_disconnected_fraction
 from repro.workloads.bfs import DistributedBfs
 
 
@@ -43,46 +44,72 @@ def _random_maps(cfg, fault_counts, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# connectivity: vectorized kernel vs the retained reference loop
+# connectivity: the sparse production kernel vs the retained reference loop
 # ---------------------------------------------------------------------------
+
+
+def _assert_matches_reference(fmap):
+    """The sparse kernel and the public fast entry point equal the loop."""
+    reference = _pair_blockage_reference(fmap)
+    assert _pair_blockage_sparse(fmap) == reference
+    assert disconnected_fraction(fmap, engine="fast") == reference
+
+
+def _all_but(cfg, healthy):
+    return FaultMap(
+        cfg, frozenset(c for c in cfg.tile_coords() if c not in healthy)
+    )
 
 
 class TestConnectivityDifferential:
     def test_randomized_maps_match_reference(self, small_cfg):
-        for fmap in _random_maps(small_cfg, (0, 1, 2, 5, 12), seed=3):
-            assert _pair_blockage(fmap) == _pair_blockage_reference(fmap)
+        for fmap in _random_maps(small_cfg, (0, 1, 2, 5, 12, 30), seed=3):
+            _assert_matches_reference(fmap)
 
     def test_paper_scale_maps_match_reference(self, paper_cfg):
-        for fmap in _random_maps(paper_cfg, (2, 10), seed=4):
-            assert _pair_blockage(fmap) == _pair_blockage_reference(fmap)
+        for fmap in _random_maps(paper_cfg, (2, 5, 10, 40), seed=4):
+            _assert_matches_reference(fmap)
+
+    def test_paper_scale_high_density_matches_reference(self, paper_cfg):
+        # Most rows hold a fault here, so the sparse corrections contract
+        # over (nearly) every row: the regime where its cost nears dense.
+        for fmap in _random_maps(paper_cfg, (200, 600), seed=11)[::3]:
+            _assert_matches_reference(fmap)
+
+    def test_paper_scale_near_fully_faulty(self, paper_cfg):
+        healthy = {(0, 0), (31, 31), (7, 19), (20, 3), (20, 19)}
+        _assert_matches_reference(_all_but(paper_cfg, healthy))
 
     def test_non_square_grid_matches_reference(self):
         cfg = SystemConfig(rows=6, cols=5)
-        for fmap in _random_maps(cfg, (0, 1, 4, 9), seed=5):
-            assert _pair_blockage(fmap) == _pair_blockage_reference(fmap)
+        for fmap in _random_maps(cfg, (0, 1, 3, 4, 9), seed=5):
+            _assert_matches_reference(fmap)
 
     def test_same_row_only_faults(self, small_cfg):
-        fmap = FaultMap(small_cfg, frozenset((3, c) for c in range(1, 7)))
-        assert _pair_blockage(fmap) == _pair_blockage_reference(fmap)
+        _assert_matches_reference(
+            FaultMap(small_cfg, frozenset((3, c) for c in range(1, 7)))
+        )
 
     def test_same_col_only_faults(self, small_cfg):
-        fmap = FaultMap(small_cfg, frozenset((r, 5) for r in range(0, 8, 2)))
-        assert _pair_blockage(fmap) == _pair_blockage_reference(fmap)
+        _assert_matches_reference(
+            FaultMap(small_cfg, frozenset((r, 5) for r in range(0, 8, 2)))
+        )
 
     def test_near_fully_faulty(self, small_cfg):
-        healthy = {(0, 0), (7, 7), (3, 4)}
-        faulty = frozenset(
-            coord for coord in small_cfg.tile_coords() if coord not in healthy
-        )
-        fmap = FaultMap(small_cfg, faulty)
-        assert _pair_blockage(fmap) == _pair_blockage_reference(fmap)
+        _assert_matches_reference(_all_but(small_cfg, {(0, 0), (7, 7), (3, 4)}))
+
+    def test_matches_golden_path_walk(self, small_cfg):
+        for fmap in _random_maps(small_cfg, (1, 4, 9), seed=12):
+            result = disconnected_fraction(fmap, engine="fast")
+            single, dual = golden_disconnected_fraction(fmap)
+            assert result.single == pytest.approx(single, abs=1e-12)
+            assert result.dual == pytest.approx(dual, abs=1e-12)
 
     def test_degenerate_map_raises_both_kernels(self, small_cfg):
-        faulty = frozenset(set(small_cfg.tile_coords()) - {(0, 0)})
-        fmap = FaultMap(small_cfg, faulty)
-        for method in ("vectorized", "reference"):
+        fmap = _all_but(small_cfg, {(0, 0)})
+        for engine in ("fast", "reference"):
             with pytest.raises(NetworkError, match="two healthy"):
-                disconnected_fraction(fmap, method=method)
+                disconnected_fraction(fmap, engine=engine)
 
     def test_unknown_method_rejected(self, clean_map):
         with pytest.raises(ReproError, match="unknown method"):
@@ -92,39 +119,6 @@ class TestConnectivityDifferential:
         maps = _random_maps(small_cfg, (1, 4), seed=6)
         batched = disconnected_fractions(maps)
         assert batched == [disconnected_fraction(m) for m in maps]
-
-    def test_sparse_kernel_matches_both_kernels(self, small_cfg):
-        for fmap in _random_maps(small_cfg, (0, 1, 2, 5, 12, 30), seed=8):
-            sparse = _pair_blockage_sparse(fmap)
-            assert sparse == _pair_blockage(fmap)
-            assert sparse == _pair_blockage_reference(fmap)
-
-    def test_sparse_kernel_paper_scale_and_non_square(self, paper_cfg):
-        for fmap in _random_maps(paper_cfg, (5, 40), seed=9):
-            assert _pair_blockage_sparse(fmap) == _pair_blockage(fmap)
-        cfg = SystemConfig(rows=6, cols=5)
-        for fmap in _random_maps(cfg, (0, 3, 9), seed=10):
-            assert _pair_blockage_sparse(fmap) == _pair_blockage(fmap)
-
-    def test_sparse_kernel_adversarial_rows_cols(self, small_cfg):
-        row_map = FaultMap(small_cfg, frozenset((3, c) for c in range(1, 7)))
-        col_map = FaultMap(small_cfg, frozenset((r, 5) for r in range(0, 8, 2)))
-        healthy = {(0, 0), (7, 7), (3, 4)}
-        dense_map = FaultMap(
-            small_cfg,
-            frozenset(
-                coord
-                for coord in small_cfg.tile_coords()
-                if coord not in healthy
-            ),
-        )
-        for fmap in (row_map, col_map, dense_map):
-            assert _pair_blockage_sparse(fmap) == _pair_blockage(fmap)
-
-    def test_sparse_kernel_degenerate_raises(self, small_cfg):
-        faulty = frozenset(set(small_cfg.tile_coords()) - {(0, 0)})
-        with pytest.raises(NetworkError, match="two healthy"):
-            _pair_blockage_sparse(FaultMap(small_cfg, faulty))
 
     def test_same_row_col_share_matches_reference(self, small_cfg):
         for fmap in _random_maps(small_cfg, (1, 3, 8), seed=7):
@@ -140,13 +134,6 @@ class TestMonteCarloFastPath:
         ref = monte_carlo_disconnection(small_cfg, method="reference", **kwargs)
         assert fast == ref
 
-    def test_batched_run_is_deterministic(self, small_cfg):
-        kwargs = dict(fault_counts=[3], trials=7, seed=2, batch=3)
-        first = monte_carlo_disconnection(small_cfg, **kwargs)
-        second = monte_carlo_disconnection(small_cfg, **kwargs)
-        assert first == second
-        assert first[0].trials == 7
-
     def test_degenerate_draw_names_trial_and_seed(self):
         cfg = SystemConfig(rows=1, cols=3)
         with pytest.raises(NetworkError) as excinfo:
@@ -157,11 +144,27 @@ class TestMonteCarloFastPath:
         assert "fault_count 2" in message
         assert "run seed (11, 2)" in message
 
-    def test_batch_must_be_positive(self, small_cfg):
-        with pytest.raises(NetworkError, match="batch"):
-            monte_carlo_disconnection(small_cfg, [1], trials=2, batch=0)
-        with pytest.raises(NetworkError, match="batch"):
-            monte_carlo_disconnection(small_cfg, [1], trials=2, batch="nope")
+    @pytest.mark.parametrize("batch", [0, 3, True, 1.0, "nope"])
+    def test_batch_must_be_one_or_chunk(self, small_cfg, batch):
+        with pytest.raises(NetworkError, match="batch must be 1 or 'chunk'"):
+            monte_carlo_disconnection(small_cfg, [1], trials=2, batch=batch)
+
+    def test_default_run_keeps_its_cache_identity(self, small_cfg, tmp_path):
+        # Fast-kernel runs, per-trial or chunked, must keep the historical
+        # params {"fault_count": k} so existing cache entries stay valid.
+        cache = ResultCache(tmp_path)
+        kwargs = dict(fault_counts=[2, 5], trials=4, seed=6, cache=cache)
+        first = monte_carlo_disconnection(small_cfg, **kwargs)
+        for count in (2, 5):
+            key = cache_key(
+                "noc.fig6_disconnection", small_cfg, {"fault_count": count},
+                (6, count), 4,
+            )
+            assert cache.get(key)[0], count
+        cache.hits = 0
+        chunked = monte_carlo_disconnection(small_cfg, batch="chunk", **kwargs)
+        assert chunked == first
+        assert cache.hits == 2
 
     def test_chunk_dispatch_bit_identical_to_per_trial(self, small_cfg):
         kwargs = dict(fault_counts=[2, 5], trials=20, seed=9)
@@ -214,12 +217,6 @@ class TestMonteCarloAdaptive:
         )
         assert adaptive[0].mean_single_pct == fixed[0].mean_single_pct
         assert adaptive[0].mean_dual_pct == fixed[0].mean_dual_pct
-
-    def test_adaptive_rejects_integer_batches(self, small_cfg):
-        with pytest.raises(NetworkError, match="adaptive"):
-            monte_carlo_disconnection(
-                small_cfg, [5], trials=8, batch=4, adaptive=CIStop()
-            )
 
     def test_adaptive_cap_is_respected(self, small_cfg):
         rule = CIStop(rel_halfwidth=1e-9, min_trials=4, block=4)
